@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all verify test faults fuzz fuzz-smoke fuzz-cache-smoke fuzz-cache vexec-smoke bench bench-smoke bench-properties bench-concurrent bench-durability bench-cache cache-hammer recover-smoke soak-smoke soak prove-rules lint-smoke clean
+.PHONY: all verify test faults fuzz fuzz-smoke fuzz-cache-smoke fuzz-cache vexec-smoke bench bench-smoke bench-properties bench-concurrent bench-durability bench-cache cache-hammer recover-smoke soak-smoke soak prove-rules lint-smoke perfbench-selftest clean
 
 all:
 	dune build
@@ -20,6 +20,13 @@ prove-rules:
 # ERROR-severity finding
 lint-smoke:
 	dune exec bin/subquery_opt_cli.exe -- lint --sf 0.01
+
+# determinism self-test of the repository benchmark (perfbench/): every
+# workload runs twice at a tiny size, untraced and traced; fails unless
+# every run is correct, emits exactly the metric names BENCHMARK.json
+# declares, and repeats every work-counting metric exactly
+perfbench-selftest:
+	python3 perfbench/test/selftest.py
 
 test:
 	dune runtest

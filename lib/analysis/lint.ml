@@ -1,7 +1,7 @@
 (* Plan linter: a bottom-up static pass over final (optimized) plans.
 
-   Each check is a sound consequence of the derived properties in
-   [Relalg.Props] — when a finding fires, the reported fact is true of
+   Each check is a sound consequence of the plan properties inferred
+   by [Relalg.Fd] — when a finding fires, the reported fact is true of
    the plan, not a heuristic guess.  Severities:
 
    ERROR    the plan computes something statically nonsensical; the
@@ -207,6 +207,10 @@ let dead_columns (root : op) : (string * Col.t list) list =
 
 let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
   let findings = ref [] in
+  (* one memo for the whole run: every node's properties are inferred
+     once, however many checks consult them *)
+  let memo = Fd.create_memo () in
+  let props o = Fd.analyze ~env ~memo o in
   let add severity code node detail =
     findings := { severity; code; node; detail } :: !findings
   in
@@ -218,7 +222,7 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
        never execute successfully — today this arises exactly when a
        Max1row guard sits over an input proven to hold two or more rows,
        so the plan is statically guaranteed to raise *)
-    (let fd = Fd.analyze ~env o in
+    (let fd = props o in
      if Fd.contradiction fd then
        add Error "contradictory-interval" label
          (Printf.sprintf
@@ -239,7 +243,7 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
     let pred_checks pred inputs =
       let nonnull =
         List.fold_left
-          (fun acc i -> Col.Set.union acc (Props.nonnullable ~env i))
+          (fun acc i -> Col.Set.union acc (props i).Fd.nonnull)
           Col.Set.empty inputs
       in
       let consts =
@@ -284,15 +288,13 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
         add Warning "residual-segment-apply" label
           "SegmentApply survived although segmented execution is disabled"
     | _ -> ());
-    (* 5. GroupBy whose groups are provably singletons.  The FD-closure
-       derivation is strictly stronger than the old equivalence-class
-       expansion and also yields the proving chain for the diagnostic;
-       the Props path is kept as a belt-and-braces fallback. *)
+    (* 5. GroupBy whose groups are provably singletons: the grouping
+       columns' FD closure covers a uniqueness fact of the input; the
+       proving chain goes into the diagnostic *)
     (match o with
     | GroupBy { keys; input; _ } -> (
-        let fd = Fd.analyze ~env input in
         let kset = Col.Set.of_list keys in
-        match Fd.cover_chain fd kset with
+        match Fd.cover_chain (props input) kset with
         | Some (unique, chain) ->
             add Warning "redundant-groupby" label
               (Printf.sprintf
@@ -304,33 +306,17 @@ let run ?(expect = relaxed) ~(env : Props.env) (plan : op) : finding list =
                  | [] -> ""
                  | fds ->
                      " via " ^ String.concat ", " (List.map Fd.fd_to_string fds)))
-        | None ->
-            let classes = Props.equiv_classes input in
-            let consts = Props.const_bindings input in
-            let const_cols =
-              List.filter
-                (fun (c : Col.t) -> Col.IdMap.mem c.id consts)
-                (Op.schema input)
-            in
-            let covered =
-              Col.Set.union (Props.equate classes kset) (Col.Set.of_list const_cols)
-            in
-            if Props.covers_key ~env input covered then
-              add Warning "redundant-groupby" label
-                "grouping columns cover a key of the input: every group has exactly one row")
+        | None -> ())
     | _ -> ());
     (* 6. Max1row over a provably single-row input *)
     match o with
     | Max1row i ->
-        let fd = Fd.analyze ~env i in
+        let fd = props i in
         if Fd.max_one fd then
           add Info "max1row-elidable" label
             (Printf.sprintf
                "input provably has at most one row (card %s); the guard can be elided"
                (Fd.interval_to_string fd.Fd.card))
-        else if Props.max_one_row ~env i then
-          add Info "max1row-elidable" label
-            "input provably has at most one row; the guard can be elided"
     | _ -> ()
   in
   walk plan;

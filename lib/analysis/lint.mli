@@ -1,5 +1,5 @@
 (** Plan linter: a static bottom-up pass over optimized plans, built on
-    the derived properties in {!Relalg.Props}.  Every finding is a sound
+    the plan properties inferred by {!Relalg.Fd}.  Every finding is a sound
     consequence of the plan's structure, not a heuristic.
 
     Checks and severities:
@@ -11,8 +11,9 @@
     - [contradictory-pred] (WARNING): a filter provably never satisfied.
     - [oj-simplifiable] (WARNING): outerjoins that provably reject NULL
       downstream and could run as inner joins.
-    - [redundant-groupby] (WARNING): grouping columns (plus equivalent
-      and constant-bound columns) cover a key of the input.
+    - [redundant-groupby] (WARNING): the grouping columns are a derived
+      key of the input — their FD closure (through equalities and
+      constant bindings) covers a uniqueness fact.
     - [residual-apply] (WARNING when the configuration promises full
       decorrelation, INFO otherwise) and [residual-segment-apply].
     - [tautological-pred], [dead-columns], [max1row-elidable] (INFO). *)

@@ -6,9 +6,9 @@
    by the context and
 
    - narrows GroupBy/LocalGroupBy grouping keys: a non-required
-     grouping column may be dropped when the remaining keys still
-     contain a key of the input (the key functionally determines the
-     dropped column, so the groups are unchanged);
+     grouping column may be dropped when it lies in the FD closure
+     ([Fd.closure]) of the required ones — they functionally determine
+     it, so the groups are unchanged;
    - drops unreferenced aggregates and projection items.
 
    Pruning does not cross UnionAll/Except (positional operators). *)
@@ -87,7 +87,7 @@ and prune_group ~env required keys (aggs : agg list) input =
   let needed = List.filter (fun k -> Col.Set.mem k required) keys in
   (* a grouping column may be dropped when the kept columns functionally
      determine it — the groups are then exactly the same *)
-  let closure = Props.fd_closure ~env input (Col.Set.of_list needed) in
+  let closure = Fd.closure (Fd.analyze ~env input) (Col.Set.of_list needed) in
   let keys' =
     needed
     @ List.filter

@@ -1,4 +1,6 @@
-(** Symbolic plan-property engine.
+(** Symbolic plan-property engine — the single source of keys, FD
+    closure, single-row bounds and non-nullability for normalization,
+    the rewrite rules, the verifier and the linter.
 
     Bottom-up inference of functional dependencies (with transitive
     closure), derived candidate keys, non-nullable columns, and
@@ -40,7 +42,8 @@ val analyze : ?env:Props.env -> ?memo:memo -> op -> t
 val closure : t -> Col.Set.t -> Col.Set.t
 
 (** Is [cols] a derived key — does its FD closure cover some
-    uniqueness fact?  Strictly stronger than {!Props.covers_key}. *)
+    uniqueness fact?  Stronger than a superset-of-a-key test: a set
+    that merely {e determines} a key qualifies. *)
 val covers_key : t -> Col.Set.t -> bool
 
 (** The uniqueness fact covered by [cols] plus the FD chain proving

@@ -1,9 +1,10 @@
 (* Unit tests for the symbolic plan-property engine (Relalg.Fd):
    closure corner cases — NULL introduction under LeftOuter padding,
    UnionAll weakening, Except preservation, correlation parameters as
-   invocation constants — plus interval arithmetic, the runtime
-   cross-check, and a golden asserting which bench workloads lose an
-   operator under the property-proven rewrites. *)
+   invocation constants, SegmentApply padding, column pruning over a
+   union — plus interval arithmetic, the runtime cross-check, and a
+   golden asserting which bench workloads lose an operator under the
+   property-proven rewrites. *)
 
 open Relalg
 open Relalg.Algebra
@@ -151,6 +152,45 @@ let test_apply_correlation_param () =
        (fun f -> Col.Set.is_empty f.Fd.det && Col.Set.mem rc f.Fd.dep)
        t.Fd.fds)
 
+(* --- SegmentApply padding ------------------------------------------------- *)
+
+let test_segment_apply_pads_outer () =
+  (* each output row pairs a segment's key with an inner row; the
+     outer's non-segment columns are NULL on every output row, however
+     non-null they are in the outer itself *)
+  let x = Col.fresh "x" Value.TInt and y = Col.fresh "y" Value.TInt in
+  let outer =
+    const_table [ x; y ]
+      [ [| t_int 1; t_int 10 |]; [| t_int 1; t_int 20 |]; [| t_int 2; t_int 30 |] ]
+  in
+  let hole = SegmentHole { cols = List.map Col.clone [ x; y ]; src = [ x; y ] } in
+  let cnt = { fn = CountStar; out = Col.fresh "cnt" Value.TInt } in
+  let o = SegmentApply { seg_cols = [ x ]; outer; inner = ScalarAgg { aggs = [ cnt ]; input = hole } } in
+  let t = analyze o in
+  check "segment column non-null" true (Col.Set.mem x t.Fd.nonnull);
+  check "non-segment outer column is not non-null" false (Col.Set.mem y t.Fd.nonnull);
+  check "inner count non-null" true (Col.Set.mem cnt.out t.Fd.nonnull);
+  let rows = Support.run_op (Support.toy_db ()) o in
+  check_int "one row per segment" 2 (List.length rows);
+  check "executor pads the non-segment column" true
+    (List.for_all (fun (r : Value.t array) -> Value.is_null r.(1)) rows);
+  check "inferred properties hold on the result" true
+    (Fd.check_rows t ~schema:(Op.schema o) rows = [])
+
+(* --- column pruning ------------------------------------------------------- *)
+
+let test_prune_keeps_union_grouping () =
+  (* s's key sa determines sb only within s: over UnionAll(s, r) two
+     rows may share sa with different sb, so sb stays a grouping column
+     even though nothing above references it *)
+  let cnt = { fn = CountStar; out = Col.fresh "cnt" Value.TInt } in
+  let g = GroupBy { keys = [ sa; sb ]; aggs = [ cnt ]; input = UnionAll (scan_s, scan_r) } in
+  let top = Project ([ { expr = ColRef sa; out = sa }; { expr = ColRef cnt.out; out = cnt.out } ], g) in
+  match Normalize.Prune.prune ~env (Col.Set.of_list [ sa; cnt.out ]) top with
+  | Project (_, GroupBy { keys; _ }) ->
+      check "sb kept as a grouping column" true (List.exists (Col.equal sb) keys)
+  | o -> Alcotest.failf "unexpected prune result:\n%s" (Pp.to_string o)
+
 (* --- interval arithmetic ------------------------------------------------ *)
 
 let test_max1row_contradiction () =
@@ -276,6 +316,10 @@ let suite =
     Alcotest.test_case "except interval arithmetic" `Quick test_except_interval;
     Alcotest.test_case "apply correlation params pin per-invocation" `Quick
       test_apply_correlation_param;
+    Alcotest.test_case "segmentapply pads non-segment outer columns" `Quick
+      test_segment_apply_pads_outer;
+    Alcotest.test_case "prune keeps grouping columns over a union" `Quick
+      test_prune_keeps_union_grouping;
     Alcotest.test_case "max1row interval and contradiction" `Quick
       test_max1row_contradiction;
     Alcotest.test_case "groupby-on-key interval" `Quick test_groupby_on_key_interval;
