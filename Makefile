@@ -1,4 +1,7 @@
-# Convenience targets; `make verify` is the tier-1 gate.
+# Convenience targets; `make verify` is the tier-1 gate.  The timing
+# benches write their wall-clock artifacts to bench/out/ (not under
+# version control), so `make verify` leaves the tree clean; the
+# deterministic BENCH_9.json and PROVER_COVERAGE.txt are tracked.
 
 .PHONY: all verify test faults fuzz fuzz-smoke fuzz-cache-smoke fuzz-cache vexec-smoke bench bench-smoke bench-properties bench-concurrent bench-durability bench-cache cache-hammer recover-smoke soak-smoke soak prove-rules lint-smoke perfbench-selftest clean
 
@@ -65,7 +68,7 @@ bench:
 	dune exec bench/main.exe
 
 # tiny-scale sweep of every workload x config in both exec modes;
-# writes BENCH_7.json and gates on bridge_crossings = 0 and per-cell
+# writes bench/out/BENCH_7.json and gates on bridge_crossings = 0 and per-cell
 # vector speedup >= 0.95x row
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
@@ -78,20 +81,20 @@ bench-properties:
 	dune exec bench/main.exe -- --properties
 
 # concurrent service scaling at 1/2/4/8 worker domains over the
-# Apply-free workloads; writes BENCH_6.json (the >= 2x scaling
+# Apply-free workloads; writes bench/out/BENCH_6.json (the >= 2x scaling
 # assertion fires only on hosts with >= 4 cores)
 bench-concurrent:
 	dune exec bench/main.exe -- --concurrent
 
 # durability micro-bench: WAL journaling/append throughput, snapshot
 # write, snapshot recovery and cold WAL replay at SF 0.01 and 0.1;
-# writes BENCH_8.json; every recovery is row-count gated
+# writes bench/out/BENCH_8.json; every recovery is row-count gated
 bench-durability:
 	dune exec bench/main.exe -- --durability
 
 # caching tier bench: warm plan-phase speedup (gated >= 5x geomean)
 # and the query_many batch CSE win on the q17 family (gated >= 1.2x
-# median with >= 1 materialization); writes BENCH_10.json
+# median with >= 1 materialization); writes bench/out/BENCH_10.json
 bench-cache:
 	dune exec bench/main.exe -- --cache
 

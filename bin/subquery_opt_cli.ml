@@ -381,7 +381,7 @@ let explain_cmd =
                   (fun (name, sql) ->
                     or_die sql (fun () ->
                         Printf.sprintf "{\"workload\":%s,\"explain\":%s}"
-                          (Exec.Metrics.json_string name)
+                          (Relalg.Json.string name)
                           (Engine.explain_json ~config ~analyze ~properties ~mode eng
                              sql)))
                   queries

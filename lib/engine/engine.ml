@@ -485,7 +485,7 @@ let cache_stats (t : t) : cache_stats option =
         }
 
 (* CSE planning for a batch: tally closed subtrees across all plans by
-   structural fingerprint (the store's own identity), score each
+   [Op.fingerprint] (the store's own identity), score each
    shared one with the greedy benefit heuristic — k occurrences save
    k·cost(subplan) against k·cost(scanning the materialization) plus
    one materialization unless the store already holds rows — and
@@ -545,7 +545,7 @@ let plan_batch_cse (c : caches) (t : t) (preps : prepared list) :
       | Algebra.CseScan _ ->
           o
       | _ -> (
-          let fp = Cache.Cse.fingerprint o in
+          let fp = Op.fingerprint o in
           match Hashtbl.find_opt chosen fp with
           | Some (sub, cost, rows_hint) ->
               let id, rows_hint =
@@ -806,13 +806,13 @@ let plan_properties_json ~(env : Props.env) (plan : Algebra.op) : string =
     items :=
       Printf.sprintf
         "{\"node\":%s,\"depth\":%d,\"card\":%s,\"keys\":[%s],\"fds\":%d,\"nonnull\":%s,\"contradiction\":%b}"
-        (Exec.Metrics.json_string (Pp.label o))
+        (Json.string (Pp.label o))
         depth
-        (Exec.Metrics.json_string (Fd.interval_to_string fd.Fd.card))
+        (Json.string (Fd.interval_to_string fd.Fd.card))
         (String.concat ","
-           (List.map (fun k -> Exec.Metrics.json_string (Fd.cols_to_string k)) keys))
+           (List.map (fun k -> Json.string (Fd.cols_to_string k)) keys))
         (List.length fd.Fd.fds)
-        (Exec.Metrics.json_string (Fd.cols_to_string fd.Fd.nonnull))
+        (Json.string (Fd.cols_to_string fd.Fd.nonnull))
         (Fd.contradiction fd)
       :: !items;
     List.iter (walk (depth + 1)) (Op.children o)
@@ -896,20 +896,20 @@ let explain_json ?config ?budget ?(analyze = false) ?(properties = true) ?(mode 
   let p = prepare ?config ~record_trace:(t.caches = None) t sql in
   let b = Buffer.create 2048 in
   Buffer.add_string b "{";
-  Buffer.add_string b (Printf.sprintf "\"sql\":%s," (Exec.Metrics.json_string sql));
+  Buffer.add_string b (Printf.sprintf "\"sql\":%s," (Json.string sql));
   Buffer.add_string b
-    (Printf.sprintf "\"plan_source\":%s," (Exec.Metrics.json_string (plan_source p)));
+    (Printf.sprintf "\"plan_source\":%s," (Json.string (plan_source p)));
   Buffer.add_string b
     (Printf.sprintf "\"config\":%s,"
-       (Exec.Metrics.json_string (Optimizer.Config.name_of p.config)));
+       (Json.string (Optimizer.Config.name_of p.config)));
   Buffer.add_string b
     (Printf.sprintf "\"subquery_class\":%s,"
-       (Exec.Metrics.json_string (Normalize.Classify.to_string p.stages.subquery_class)));
+       (Json.string (Normalize.Classify.to_string p.stages.subquery_class)));
   Buffer.add_string b
     (Printf.sprintf "\"plan_cost\":%.2f,\"seed_cost\":%.2f,\"explored\":%d," p.plan_cost
        p.seed_cost p.explored);
   Buffer.add_string b
-    (Printf.sprintf "\"plan\":%s," (Exec.Metrics.json_string (Pp.to_string p.plan)));
+    (Printf.sprintf "\"plan\":%s," (Json.string (Pp.to_string p.plan)));
   Buffer.add_string b
     (Printf.sprintf "\"trace\":%s,"
        (match p.trace with
@@ -924,7 +924,7 @@ let explain_json ?config ?budget ?(analyze = false) ?(properties = true) ?(mode 
      Buffer.add_string b
        (Printf.sprintf
           "\"execution\":{\"exec_mode\":%s,\"elapsed_s\":%.6f,\"rows\":%d,\"rows_processed\":%d,\"apply_invocations\":%d,\"metrics\":%s}"
-          (Exec.Metrics.json_string (exec_mode_name mode))
+          (Json.string (exec_mode_name mode))
           e.elapsed_s
           (List.length e.result.rows)
           e.rows_processed e.apply_invocations

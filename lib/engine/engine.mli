@@ -208,7 +208,8 @@ type batch = {
 
 (** Optimize and execute a workload jointly.  All statements are
     prepared (through the plan cache when enabled), closed subtrees
-    shared across the batch are tallied by structural fingerprint, and
+    shared across the batch are tallied by {!Relalg.Op.fingerprint}
+    (equality up to column renaming), and
     the ones whose greedy benefit — occurrences × (subplan cost −
     scan cost) − materialization cost — is positive are materialized
     once in the CSE store and replaced by [CseScan] leaves everywhere

@@ -71,7 +71,4 @@ val selectivity : node -> float option
     wall-clock figures (stable output for golden tests). *)
 val render : ?times:bool -> node -> string
 
-(** JSON object escaping helper (shared by the CLI and benches). *)
-val json_string : string -> string
-
 val to_json : node -> string

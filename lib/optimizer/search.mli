@@ -1,9 +1,10 @@
 (** Cost-based plan search.
 
-    A beam-directed transformation closure with memoized deduplication:
-    a compact stand-in for the Volcano/Cascades engine of the paper's
-    Section 4, preserving its architecture (orthogonal local rules +
-    cost-based choice). *)
+    A beam-directed transformation closure with memoized deduplication
+    keyed on {!Relalg.Op.fingerprint}, the plan identity up to column
+    renaming: a compact stand-in for the Volcano/Cascades engine of the
+    paper's Section 4, preserving its architecture (orthogonal local
+    rules + cost-based choice). *)
 
 open Relalg
 open Relalg.Algebra
@@ -13,9 +14,9 @@ type rule = { name : string; apply : op -> op list }
 (** The rule set enabled by a configuration. *)
 val rules_for : Config.t -> env:Props.env -> cat:Catalog.t -> rule list
 
-(** Id-insensitive canonical rendering: column ids renumbered by first
-    occurrence.  Two trees equal up to column identity share a
-    canonical form. *)
+(** Alias of {!Relalg.Op.fingerprint}, the plan identity the search
+    memo deduplicates by: two trees equal up to column renaming share
+    it. *)
 val canonical : op -> string
 
 (** Fire a rule at every node, returning one whole tree per firing. *)

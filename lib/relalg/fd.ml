@@ -116,12 +116,24 @@ let covers_key t (cols : Col.Set.t) =
   let c = closure t cols in
   List.exists (fun u -> Col.Set.subset u c) t.uniques
 
-(* The unique set covered by [cols] plus the FD chain proving it. *)
+(* The unique set covered by [cols] plus the FD chain proving it: a
+   backward slice of the fired dependencies from [u \ cols], keeping
+   only those that supply a still-needed column (their determinants
+   become needed in turn).  Empty when [cols] already contains [u]. *)
 let cover_chain t (cols : Col.Set.t) : (Col.Set.t * fd list) option =
   let c, used = closure_trace t.fds cols in
   match List.find_opt (fun u -> Col.Set.subset u c) t.uniques with
   | None -> None
-  | Some u -> Some (u, used)
+  | Some u ->
+      let _, chain =
+        List.fold_left
+          (fun (need, chain) f ->
+            if Col.Set.disjoint f.dep need then (need, chain)
+            else (Col.Set.union (Col.Set.diff need f.dep) (Col.Set.diff f.det cols), f :: chain))
+          (Col.Set.diff u cols, [])
+          (List.rev used)
+      in
+      Some (u, chain)
 
 let max_one t = hi_le t.card.hi 1 || covers_key t Col.Set.empty
 

@@ -47,7 +47,9 @@ val closure : t -> Col.Set.t -> Col.Set.t
 val covers_key : t -> Col.Set.t -> bool
 
 (** The uniqueness fact covered by [cols] plus the FD chain proving
-    it, for rendering diagnostics. *)
+    it, for rendering diagnostics: only the fired dependencies the
+    derivation of the fact's columns outside [cols] needs, in firing
+    order; empty when [cols] already contains the fact. *)
 val cover_chain : t -> Col.Set.t -> (Col.Set.t * fd list) option
 
 (** Provably at most one output row. *)

@@ -12,6 +12,9 @@ val schema_set : op -> Col.Set.t
 (** Relational children, left to right. *)
 val children : op -> op list
 
+(** The operator's constructor, lower-case ("scan", "groupby", ...). *)
+val name : op -> string
+
 (** Rebuild an operator with new children (same arity).
     @raise Invalid_argument on arity mismatch. *)
 val with_children : op -> op list -> op
@@ -42,10 +45,22 @@ val rename : Col.t Col.IdMap.t -> op -> op
     introduction. *)
 val clone_fresh : op -> op * Col.t Col.IdMap.t
 
-(** Structural isomorphism up to column renaming; on success returns
-    the column bijection (first tree's columns -> second's).  Used by
-    SegmentApply introduction (paper Section 3.4.1) to detect two
-    instances of the same expression. *)
+(** The plan identity: a string equal for two trees exactly when they
+    are equal up to renaming of the columns produced inside them
+    (alpha-equivalence).  Produced columns are numbered by first
+    occurrence and carry their type; free (outer) references are
+    written by raw id.  Constants are exact, and scan column lists,
+    constant-table rows, CSE ids and subquery bodies are part of the
+    key; column names are not.  The search memo, the CSE store and
+    {!iso} all key on it. *)
+val fingerprint : op -> string
+
+(** Structural isomorphism up to column renaming: equal
+    {!fingerprint}s.  On success returns the column bijection (first
+    tree's produced columns -> second's).  Used by SegmentApply
+    introduction (paper Section 3.4.1) to detect two instances of the
+    same expression; rejects trees holding a SegmentApply, a
+    SegmentHole or a subquery-bearing expression. *)
 val iso : op -> op -> Col.t Col.IdMap.t option
 
 val map_bottom_up : (op -> op) -> op -> op

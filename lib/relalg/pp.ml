@@ -65,21 +65,10 @@ let shape (o : op) : string =
     let head =
       match o with
       | TableScan { table; _ } -> "scan:" ^ table
-      | ConstTable _ -> "const"
       | CseScan { id; _ } -> "csescan:" ^ id
-      | SegmentHole _ -> "hole"
-      | Select _ -> "select"
-      | Project _ -> "project"
       | Join { kind; _ } -> "join:" ^ join_kind_name kind
       | Apply { kind; _ } -> "apply:" ^ join_kind_name kind
-      | SegmentApply _ -> "segmentapply"
-      | GroupBy _ -> "groupby"
-      | LocalGroupBy _ -> "localgroupby"
-      | ScalarAgg _ -> "scalaragg"
-      | UnionAll _ -> "unionall"
-      | Except _ -> "except"
-      | Max1row _ -> "max1row"
-      | Rownum _ -> "rownum"
+      | o -> Op.name o
     in
     match Op.children o with
     | [] -> head

@@ -307,5 +307,5 @@ let to_json (s : snapshot) : string =
     (String.concat ","
        (List.map
           (fun (name, p) ->
-            Printf.sprintf "%s:%s" (Exec.Metrics.json_string name) (percentiles_to_json p))
+            Printf.sprintf "%s:%s" (Relalg.Json.string name) (percentiles_to_json p))
           s.per_session))

@@ -66,6 +66,51 @@ let test_select_equality_closure () =
   (* the predicate also proves sb non-null on surviving rows *)
   check "sb null-rejected by the equality" true (Col.Set.mem sb t.Fd.nonnull)
 
+(* a hand-built fact set whose closure fires dependencies the key does
+   not need: from {sa}, sa->sb reaches the unique {sb}; sa->rc and
+   rc->rd fire too but prove nothing about it *)
+let chain_facts uniques =
+  { Fd.fds =
+      [ { Fd.det = s1 sa; dep = s1 rc };
+        { Fd.det = s1 rc; dep = s1 rd };
+        { Fd.det = s1 sa; dep = s1 sb }
+      ];
+    uniques;
+    nonnull = Col.Set.empty;
+    card = { Fd.lo = 0; hi = None };
+  }
+
+let fd_names chain = List.map Fd.fd_to_string chain
+
+let test_cover_chain_minimal () =
+  (match Fd.cover_chain (chain_facts [ s1 sb ]) (s1 sa) with
+  | Some (u, chain) ->
+      check "the covered unique is {sb}" true (Col.Set.equal u (s1 sb));
+      Alcotest.(check (list string))
+        "only sa->sb proves it"
+        [ Fd.fd_to_string { Fd.det = s1 sa; dep = s1 sb } ]
+        (fd_names chain)
+  | None -> Alcotest.fail "cover_chain returned None");
+  (* a two-step derivation keeps both links, in firing order *)
+  match Fd.cover_chain (chain_facts [ s1 rd ]) (s1 sa) with
+  | Some (_, chain) ->
+      Alcotest.(check (list string))
+        "sa->rc then rc->rd"
+        [ Fd.fd_to_string { Fd.det = s1 sa; dep = s1 rc };
+          Fd.fd_to_string { Fd.det = s1 rc; dep = s1 rd }
+        ]
+        (fd_names chain)
+  | None -> Alcotest.fail "cover_chain returned None"
+
+let test_cover_chain_empty () =
+  (* the grouping set already contains the key: nothing to prove,
+     although the closure of {sa} fires the key's sa->{sa,sb} *)
+  match Fd.cover_chain (analyze scan_s) (s1 sa) with
+  | Some (u, chain) ->
+      check "the covered unique is {sa}" true (Col.Set.equal u (s1 sa));
+      Alcotest.(check (list string)) "empty chain" [] (fd_names chain)
+  | None -> Alcotest.fail "cover_chain returned None"
+
 let test_select_const_on_key () =
   let t = analyze (Select (Cmp (Eq, ColRef sa, Const (t_int 7)), scan_s)) in
   check "equality on the key pins at most one row" true (Fd.max_one t);
@@ -305,6 +350,10 @@ let suite =
   [ Alcotest.test_case "scan key and closure" `Quick test_scan_key;
     Alcotest.test_case "select equality extends the closure" `Quick
       test_select_equality_closure;
+    Alcotest.test_case "cover chain keeps only the needed FDs" `Quick
+      test_cover_chain_minimal;
+    Alcotest.test_case "cover chain is empty when the key is grouped" `Quick
+      test_cover_chain_empty;
     Alcotest.test_case "constant on a key pins one row" `Quick test_select_const_on_key;
     Alcotest.test_case "leftouter NULLs the right side" `Quick test_leftouter_nulls_right;
     Alcotest.test_case "leftouter with pinned right key" `Quick test_leftouter_pinned_key;

@@ -217,6 +217,31 @@ let test_search_trace () =
 
 (* --- EXPLAIN ANALYZE golden output ------------------------------------- *)
 
+(* Every string in the trace JSON goes through the one escaper: rule
+   names in the per-round stats as well as quarantine entries. *)
+let test_search_trace_json_escapes () =
+  let odd = "odd\"rule\\" in
+  let tr =
+    { Optimizer.Search.rounds =
+        [ { round = 1;
+            stats = [ { rule = odd; fired = 1; kept = 1; dups = 0; invalid = 0 } ];
+            survivors = 1;
+            best_cost_after = 1.0;
+          }
+        ];
+      total_fired = 1;
+      total_duplicates = 0;
+      total_invalid = 0;
+      quarantined = [ (odd, "line\nbreak") ];
+      exhausted = false;
+    }
+  in
+  let j = Optimizer.Search.trace_to_json tr in
+  Alcotest.(check bool) "round stats escape the rule name" true
+    (Support.contains j "{\"rule\":\"odd\\\"rule\\\\\",\"fired\":1");
+  Alcotest.(check bool) "quarantine escapes the violation" true
+    (Support.contains j "\"violation\":\"line\\nbreak\"")
+
 (* The analyzed-plan section (everything up to the optimizer trace,
    which later PRs will legitimately change as rules are added) for two
    bench workloads at SF 0.01, seed 42.  Row counts, operator shapes,
@@ -227,8 +252,9 @@ let tpch = lazy (Datagen.Tpch_gen.database ~seed:42 ~sf:0.01 ())
 
 (* Column ids come from a process-global counter, so their absolute
    values depend on which tests ran earlier in the binary; renumber
-   [#id]s by first occurrence (as [Optimizer.Search.canonical] does for
-   plans) to make the rendering position-independent. *)
+   [#id]s by first occurrence to make the rendering position-
+   independent.  This normalizes rendered text only: plans themselves
+   are compared up to column renaming by [Relalg.Op.fingerprint]. *)
 let renumber (s : string) : string =
   let buf = Buffer.create (String.length s) in
   let map = Hashtbl.create 16 in
@@ -324,6 +350,8 @@ let suite =
     Alcotest.test_case "metrics hash-build + render" `Quick test_metrics_hash_build_and_render;
     Alcotest.test_case "metrics Apply fast path" `Quick test_metrics_apply_fast_path;
     Alcotest.test_case "optimizer search trace" `Quick test_search_trace;
+    Alcotest.test_case "search trace json escapes strings" `Quick
+      test_search_trace_json_escapes;
     Alcotest.test_case "explain analyze golden" `Quick test_explain_analyze_golden;
     Alcotest.test_case "explain analyze stable sans times" `Quick test_explain_analyze_times_stable
   ]

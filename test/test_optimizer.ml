@@ -12,12 +12,12 @@ let test_canonical_id_insensitive () =
     Select (Cmp (Gt, ColRef a, Const (Value.Int 1)), TableScan { table = "t"; cols = [ a ] })
   in
   let t1 = mk () and t2 = mk () in
-  Alcotest.(check string) "same canon" (Optimizer.Search.canonical t1)
-    (Optimizer.Search.canonical t2);
+  Alcotest.(check string) "same canon" (Op.fingerprint t1)
+    (Op.fingerprint t2);
   let a = Col.fresh "a" Value.TInt in
   let t3 = Select (Cmp (Gt, ColRef a, Const (Value.Int 2)), TableScan { table = "t"; cols = [ a ] }) in
   Alcotest.(check bool) "different constant differs" true
-    (Optimizer.Search.canonical t1 <> Optimizer.Search.canonical t3)
+    (Op.fingerprint t1 <> Op.fingerprint t3)
 
 let test_cardinality_estimates () =
   let db = Lazy.force tpch in

@@ -133,8 +133,8 @@ let prop_subst_sound =
       let r2 = eval a substituted in
       Value.equal r1 r2 || (Value.is_null r1 && Value.is_null r2))
 
-(* 7. canonicalization: structurally identical trees modulo ids share a
-   canonical form; different constants do not *)
+(* 7. plan identity: structurally identical trees modulo ids share an
+   [Op.fingerprint] *)
 let prop_canonical =
   Test.make ~name:"canonical is id-insensitive" ~count:200
     (make (fun st -> gen_bool 2 st))
@@ -143,7 +143,7 @@ let prop_canonical =
         let c = Col.fresh "k" Value.TInt in
         Select (Cmp (Gt, ColRef c, Const (Value.Int 0)), Select (p, TableScan { table = "t"; cols = [ c ] }))
       in
-      Optimizer.Search.canonical (mk ()) = Optimizer.Search.canonical (mk ()))
+      Relalg.Op.fingerprint (mk ()) = Relalg.Op.fingerprint (mk ()))
 
 let suite =
   [ Support.qtest prop_strict_sound;

@@ -159,6 +159,91 @@ let test_iso () =
   let t4 = Select (Cmp (Gt, ColRef c, Const (Value.Int 5)), scan "u" [ c ]) in
   Alcotest.(check bool) "different table" true (Op.iso t1 t4 = None)
 
+(* --- plan identity (Op.fingerprint) ----------------------------------- *)
+
+let gt_const c v = Select (Cmp (Gt, ColRef c, Const v), scan "t" [ c ])
+
+let test_fingerprint_commuted_self_join () =
+  (* build and probe sides swapped: the Pp rendering of both trees is
+     identical up to ids, the plans are not *)
+  let mk () =
+    let a = mkcol "o_custkey" and x = mkcol "o_totalprice" in
+    let b = mkcol "o_custkey" and y = mkcol "o_totalprice" in
+    (scan "orders" [ a; x ], scan "orders" [ b; y ], Cmp (Eq, ColRef a, ColRef b))
+  in
+  let l, r, p = mk () in
+  let j1 = Join { kind = Inner; pred = p; left = l; right = r } in
+  let j2 = Join { kind = Inner; pred = p; left = r; right = l } in
+  Alcotest.(check bool) "commuted self-join keys differ" true
+    (Op.fingerprint j1 <> Op.fingerprint j2);
+  let l', r', p' = mk () in
+  Alcotest.(check string) "a fresh copy of the same join keys equal" (Op.fingerprint j1)
+    (Op.fingerprint (Join { kind = Inner; pred = p'; left = l'; right = r' }))
+
+let test_fingerprint_exact_constants () =
+  Alcotest.(check bool) "floats differing past the 4th decimal" true
+    (Op.fingerprint (gt_const (mkcol "a") (Value.Float 0.123451))
+    <> Op.fingerprint (gt_const (mkcol "a") (Value.Float 0.123452)));
+  Alcotest.(check bool) "int 1 and float 1.0" true
+    (Op.fingerprint (gt_const (mkcol "a") (Value.Int 1))
+    <> Op.fingerprint (gt_const (mkcol "a") (Value.Float 1.0)));
+  let const rows = ConstTable { cols = [ mkcol "k" ]; rows } in
+  Alcotest.(check bool) "constant tables with different rows" true
+    (Op.fingerprint (const [ [| Value.Int 1 |] ]) <> Op.fingerprint (const [ [| Value.Int 2 |] ]));
+  Alcotest.(check bool) "different scan column lists" true
+    (Op.fingerprint (scan "t" [ mkcol "a" ])
+    <> Op.fingerprint (scan "t" [ mkcol "a"; mkcol "b" ]));
+  Alcotest.(check string) "column names are not part of the key"
+    (Op.fingerprint (gt_const (mkcol "a") (Value.Str "x\"y")))
+    (Op.fingerprint (gt_const (mkcol "renamed") (Value.Str "x\"y")))
+
+let test_fingerprint_clone_fresh () =
+  let a = mkcol "a" and b = mkcol "b" and outer = mkcol "outer" in
+  let t =
+    GroupBy
+      { keys = [ a ];
+        aggs = [ { fn = Sum (ColRef b); out = mkcol "s" } ];
+        input = Select (Cmp (Eq, ColRef b, ColRef outer), scan "t" [ a; b ])
+      }
+  in
+  let t', _ = Op.clone_fresh t in
+  Alcotest.(check string) "clone keys equal" (Op.fingerprint t) (Op.fingerprint t');
+  (* the free reference is part of the key by identity *)
+  let other = mkcol "outer" in
+  let t'' = Op.rename (Col.IdMap.singleton outer.Col.id other) t' in
+  Alcotest.(check bool) "different free reference" true (Op.fingerprint t <> Op.fingerprint t'')
+
+let test_iso_via_fingerprint () =
+  let outer = mkcol "outer" in
+  let mk outer =
+    let a = mkcol "a" and b = mkcol "b" and s = mkcol "s" in
+    ( GroupBy
+        { keys = [ a ];
+          aggs = [ { fn = Sum (ColRef b); out = s } ];
+          input = Select (Cmp (Eq, ColRef b, ColRef outer), scan "t" [ a; b ])
+        },
+      [ a; b; s ] )
+  in
+  let t1, c1 = mk outer and t2, c2 = mk outer in
+  (match Op.iso t1 t2 with
+  | Some m ->
+      List.iter2
+        (fun (x : Col.t) y ->
+          Alcotest.(check bool) ("maps " ^ x.Col.name) true
+            (Col.equal (Col.IdMap.find x.Col.id m) y))
+        c1 c2;
+      Alcotest.(check int) "bijection covers the produced columns" 3 (Col.IdMap.cardinal m)
+  | None -> Alcotest.fail "expected isomorphic");
+  let t3, _ = mk (mkcol "outer") in
+  Alcotest.(check bool) "different free reference" true (Op.iso t1 t3 = None);
+  (* outside the compared shapes: subquery-bearing expressions and
+     segment holes are rejected even against themselves *)
+  let a = mkcol "a" in
+  let with_sub = Select (Exists (scan "u" [ mkcol "x" ]), scan "t" [ a ]) in
+  Alcotest.(check bool) "subquery rejected" true (Op.iso with_sub with_sub = None);
+  let hole = SegmentHole { cols = [ mkcol "h" ]; src = [ a ] } in
+  Alcotest.(check bool) "segment hole rejected" true (Op.iso hole hole = None)
+
 let test_conjuncts () =
   let a = mkcol "a" in
   let p1 = Cmp (Eq, ColRef a, Const (Value.Int 1)) in
@@ -177,5 +262,10 @@ let suite =
     Alcotest.test_case "null rejection" `Quick test_null_rejection;
     Alcotest.test_case "clone fresh" `Quick test_clone_fresh;
     Alcotest.test_case "isomorphism" `Quick test_iso;
+    Alcotest.test_case "fingerprint: commuted self-join" `Quick
+      test_fingerprint_commuted_self_join;
+    Alcotest.test_case "fingerprint: exact constants" `Quick test_fingerprint_exact_constants;
+    Alcotest.test_case "fingerprint: clone_fresh copy" `Quick test_fingerprint_clone_fresh;
+    Alcotest.test_case "isomorphism via fingerprint" `Quick test_iso_via_fingerprint;
     Alcotest.test_case "conjuncts" `Quick test_conjuncts
   ]
