@@ -158,6 +158,8 @@ val engine : t -> Engine.t
 (** Current breaker state for a session (a fresh session is [Closed]). *)
 val breaker_state : t -> string -> Breaker.state
 
-(** Worker domains currently registered (respawns keep this at the
-    configured size). *)
+(** Worker domains currently running.  A crashed worker leaves the
+    count at once and its replacement joins when its domain starts, so
+    after a crash the count returns to the configured size shortly,
+    not necessarily before the crashed request's reply is delivered. *)
 val live_workers : t -> int

@@ -165,7 +165,17 @@ let () =
   List.iter Domain.join clients;
   let elapsed = Unix.gettimeofday () -. started in
 
-  let live = Service.live_workers t in
+  (* replacements count themselves live once their domain starts:
+     give the last respawn a bounded moment to land *)
+  let live =
+    let deadline = Unix.gettimeofday () +. 5. in
+    let rec wait () =
+      let n = Service.live_workers t in
+      if n = n_domains || Unix.gettimeofday () > deadline then n
+      else (Unix.sleepf 0.001; wait ())
+    in
+    wait ()
+  in
   Service.shutdown t;
   let s = Service.stats t in
   print_string (Service.Stats.render s);
